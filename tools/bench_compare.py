@@ -42,9 +42,10 @@ then diff the artifacts —
     ./build-new/bench/bench_micro --threads 1 --json new.json --benchmark_filter=^$
     python3 tools/bench_compare.py old.json new.json
 
-The bench-smoke ctests self-compare the checked-in BENCH_micro.json and
-BENCH_delay.json, which pins both artifact schemas (the keys must
-exist) and the tool's CLI without depending on the noise of a live
+The bench-smoke ctests self-compare the checked-in BENCH_micro.json,
+BENCH_delay.json, BENCH_scale.json, BENCH_serve.json and
+BENCH_periodic.json, which pins all five artifact schemas (the keys
+must exist) and the tool's CLI without depending on the noise of a live
 timing run.
 """
 import argparse
