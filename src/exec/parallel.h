@@ -35,23 +35,28 @@ class TaskGroup {
   template <typename Fn>
   void spawn(Fn&& fn) {
     pending_.fetch_add(1, std::memory_order_acq_rel);
-    pool_.submit([this, fn = std::forward<Fn>(fn)]() mutable {
-      try {
-        fn();
-      } catch (...) {
-        std::lock_guard<std::mutex> lock(mutex_);
-        if (!error_) error_ = std::current_exception();
-      }
-      // The decrement must happen under mutex_: the waiter re-locks mutex_
-      // after its loop, so it cannot return (and destroy this TaskGroup)
-      // until the finishing task has released the lock — otherwise a waiter
-      // observing pending_==0 between our fetch_sub and notify would free
-      // the mutex/cv out from under us.
-      std::lock_guard<std::mutex> lock(mutex_);
-      if (pending_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-        cv_.notify_all();
-      }
-    });
+    pool_.submit(
+        [this, fn = std::forward<Fn>(fn)]() mutable {
+          try {
+            fn();
+          } catch (...) {
+            std::lock_guard<std::mutex> lock(mutex_);
+            if (!error_) error_ = std::current_exception();
+          }
+        },
+        // Completion is the pool's `done` step, not the task's tail, so
+        // the task's own span is logged before wait() can return.  The
+        // decrement must happen under mutex_: the waiter re-locks mutex_
+        // after its loop, so it cannot return (and destroy this TaskGroup)
+        // until the finishing task has released the lock — otherwise a
+        // waiter observing pending_==0 between our fetch_sub and notify
+        // would free the mutex/cv out from under us.
+        [this] {
+          std::lock_guard<std::mutex> lock(mutex_);
+          if (pending_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+            cv_.notify_all();
+          }
+        });
   }
 
   void wait() {

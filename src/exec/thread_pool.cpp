@@ -50,18 +50,29 @@ int ThreadPool::hardware_concurrency() noexcept {
   return n == 0 ? 1 : static_cast<int>(n);
 }
 
-void ThreadPool::submit(Task task) {
+void ThreadPool::submit(Task task, Task done) {
 #if LWM_OBS_ENABLED
   // Attribute the task to the span open where it was *submitted*: the
   // wrapper restores that span id on whichever thread runs the task, so
   // spans opened inside nest under the logical caller, not the worker.
   LWM_COUNT("exec/tasks_submitted", 1);
-  task = [parent = obs::current_span(), inner = std::move(task)]() mutable {
-    obs::TaskParent link(parent);
-    LWM_SPAN("exec/task");
-    LWM_COUNT("exec/tasks_run", 1);
-    inner();
+  task = [parent = obs::current_span(), inner = std::move(task),
+          done = std::move(done)]() mutable {
+    {
+      obs::TaskParent link(parent);
+      LWM_SPAN("exec/task");
+      LWM_COUNT("exec/tasks_run", 1);
+      inner();
+    }
+    if (done) done();
   };
+#else
+  if (done) {
+    task = [inner = std::move(task), done = std::move(done)]() mutable {
+      inner();
+      done();
+    };
+  }
 #endif
   std::size_t home;
   if (tls_pool == this) {

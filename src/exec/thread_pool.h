@@ -50,8 +50,11 @@ class ThreadPool {
   }
 
   /// Enqueues a task.  Worker threads push onto their own deque; external
-  /// threads round-robin across deques.
-  void submit(Task task);
+  /// threads round-robin across deques.  `done`, if set, runs after the
+  /// task on the same thread, once the task's `exec/task` span has closed
+  /// and been logged: a fork-join that signals completion from `done`
+  /// releases its waiter only when every span of the task is in the trace.
+  void submit(Task task, Task done = nullptr);
 
   /// Runs one queued task on the calling thread, if any is pending.
   /// Used by waiters to make progress instead of blocking.

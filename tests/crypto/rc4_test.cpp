@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <ostream>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -30,6 +31,11 @@ struct Vector {
   const char* plaintext;
   const char* cipher_hex;
 };
+
+// Print a vector as its key. Without a printer googletest shows the struct's
+// raw bytes -- the three string addresses, which change from run to run --
+// and gtest_discover_tests puts that text into each case's ctest name.
+void PrintTo(const Vector& v, std::ostream* os) { *os << v.key; }
 
 class Rc4KnownAnswerTest : public ::testing::TestWithParam<Vector> {};
 
