@@ -68,25 +68,25 @@ bool read_wm_params(PayloadReader& r, WmParams& p) {
   return r.complete();
 }
 
-/// nullptr when the parameters pass every bound; otherwise the error
-/// frame to return.
-const char* check_wm_params(const WmParams& p, const ServiceOptions& opts) {
-  if (p.key.empty()) return "signature key must be non-empty";
-  if (p.marks == 0 || p.marks > opts.max_marks) return "marks out of range";
-  if (p.k == 0 || p.k > opts.max_k) return "k out of range";
-  if (p.tau > opts.max_tau) return "tau out of range";
-  if (!(p.epsilon > 0.0) || !(p.epsilon < 1.0)) {
-    return "epsilon must lie in (0, 1)";
-  }
-  return nullptr;
-}
-
 wm::SchedWmOptions wm_options(const WmParams& p) {
   wm::SchedWmOptions o;
   o.domain.tau = static_cast<int>(p.tau);
   o.k = static_cast<int>(p.k);
   o.epsilon = p.epsilon;
   return o;
+}
+
+/// Empty when the parameters pass every bound, else the error message.
+/// tau gets the key check detect applies to every record.
+std::string check_wm_params(const WmParams& p, const ServiceOptions& opts) {
+  if (p.key.empty()) return "signature key must be non-empty";
+  if (p.marks == 0 || p.marks > opts.max_marks) return "marks out of range";
+  if (p.k == 0 || p.k > opts.max_k) return "k out of range";
+  if (const auto bad = wm::check_key(wm_options(p).domain)) return bad->message;
+  if (!(p.epsilon > 0.0) || !(p.epsilon < 1.0)) {
+    return "epsilon must lie in (0, 1)";
+  }
+  return {};
 }
 
 }  // namespace
@@ -203,8 +203,8 @@ Frame Service::handle_embed(const Frame& request) {
   PayloadReader r(request.payload);
   WmParams p;
   if (!read_wm_params(r, p)) return payload_error(request.type, r);
-  if (const char* bad = check_wm_params(p, opts_)) {
-    return error_text(kErrTooLarge, bad);
+  if (std::string bad = check_wm_params(p, opts_); !bad.empty()) {
+    return error_text(kErrTooLarge, std::move(bad));
   }
   const auto design = store_.find_design(p.design_id);
   if (!design) return error_text(kErrNotFound, "design not resident");
@@ -266,15 +266,16 @@ Frame Service::handle_detect(const Frame& request) {
   const std::string_view records_text = r.get_str();
   if (!r.complete()) return payload_error(request.type, r);
   if (key.empty()) return error_text(kErrParse, "signature key must be non-empty");
+  // Records are checked before the store is consulted: a hostile archive
+  // is refused the same way whether or not its design is resident.
+  auto parsed = wm::parse_records(records_text, "<records>");
+  if (!parsed.ok()) return error_frame(kErrParse, parsed.diag());
+  const wm::RecordArchive archive = std::move(parsed).value();
 
   const auto design = store_.find_design(design_id);
   if (!design) return error_text(kErrNotFound, "design not resident");
   const auto sched = store_.find_schedule(design_id, sched_id);
   if (!sched) return error_text(kErrNotFound, "schedule not resident");
-
-  auto parsed = wm::parse_records(records_text, "<records>");
-  if (!parsed.ok()) return error_frame(kErrParse, parsed.diag());
-  const wm::RecordArchive archive = std::move(parsed).value();
 
   const crypto::Signature sig("serve-client", key);
   const std::vector<wm::SchedDetectionReport> reports =
@@ -298,8 +299,8 @@ Frame Service::handle_pc(const Frame& request) {
   PayloadReader r(request.payload);
   WmParams p;
   if (!read_wm_params(r, p)) return payload_error(request.type, r);
-  if (const char* bad = check_wm_params(p, opts_)) {
-    return error_text(kErrTooLarge, bad);
+  if (std::string bad = check_wm_params(p, opts_); !bad.empty()) {
+    return error_text(kErrTooLarge, std::move(bad));
   }
   const auto design = store_.find_design(p.design_id);
   if (!design) return error_text(kErrNotFound, "design not resident");

@@ -33,10 +33,10 @@ struct ServiceOptions {
   exec::ThreadPool* pool = nullptr;
   DesignStoreOptions store;
 
-  // Parameter bounds enforced on embed/pc requests (kErrTooLarge).
+  // Parameter bounds enforced on embed/pc requests (kErrTooLarge).  tau
+  // has no knob: it is bounded by wm::DomainKey::kMaxTau.
   std::uint32_t max_marks = 4096;
   std::uint32_t max_k = 64;
-  std::uint32_t max_tau = 32;
 };
 
 class Service {

@@ -1,6 +1,9 @@
 #include "wm/detector.h"
 
 #include <algorithm>
+#include <optional>
+#include <stdexcept>
+#include <string>
 
 #include "exec/parallel.h"
 #include "exec/thread_pool.h"
@@ -21,16 +24,39 @@ std::vector<NodeId> executable_roots(const Graph& g) {
   return roots;
 }
 
-/// Carve-skipping prefilter.  The locality ordering puts the root LAST
-/// in d.selected: the root is the unique level-0 node of its cone (every
-/// other member has level >= 1) and the C1 sort is level-descending, so
-/// any successful structural gate implies record.subtree_ops.back() ==
-/// functional_id(candidate root).  Checking that one int before carving
-/// skips the expensive keyed BFS at every root whose operation cannot
-/// possibly close the gate — the common case when scanning a mega-design
-/// for a handful of records.
-bool root_may_match(const SchedRecord& record, int root_fid) {
-  return !record.subtree_ops.empty() && record.subtree_ops.back() == root_fid;
+/// Every detect entry point checks its records before scanning, so a
+/// record built in code cannot skip the validation parse_records does.
+void require_checked(std::span<const SchedRecord> records) {
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    const SchedRecord& r = records[i];
+    if (const auto bad = check_record(r.domain, r.positions, r.subtree_ops)) {
+      throw std::invalid_argument("record " + std::to_string(i) + ": " +
+                                  bad->message);
+    }
+  }
+}
+
+/// The one gate-and-count: nullopt unless the carve `d` is the record's
+/// memorized subtree, else the record's constraints counted against
+/// `schedule`.  The record is checked, so a passed gate maps every pair.
+std::optional<SchedHit> score(const Graph& suspect,
+                              const sched::Schedule& schedule, const Domain& d,
+                              const SchedRecord& record) {
+  if (!matches_subtree(suspect, d.selected, record.subtree_ops)) {
+    return std::nullopt;
+  }
+  SchedHit hit{d.root};
+  for (const auto& [src_pos, dst_pos] : record.positions) {
+    const NodeId src = d.selected[static_cast<std::size_t>(src_pos)];
+    const NodeId dst = d.selected[static_cast<std::size_t>(dst_pos)];
+    ++hit.total;
+    if (schedule.is_scheduled(src) && schedule.is_scheduled(dst) &&
+        schedule.start_of(src) + suspect.node(src).delay <=
+            schedule.start_of(dst)) {
+      ++hit.satisfied;
+    }
+  }
+  return hit;
 }
 
 }  // namespace
@@ -52,40 +78,9 @@ SchedHit verify_sched_watermark_at(const Graph& suspect,
                                    const sched::Schedule& schedule,
                                    const crypto::Signature& sig,
                                    const SchedRecord& record, NodeId root) {
-  SchedHit hit;
-  hit.root = root;
+  require_checked({&record, 1});
   const Domain d = select_domain(suspect, root, sig, record.domain);
-
-  // Structural gate: the signature-carved subtree at this root must be
-  // the memorized subtree (same size, same operations in unique order).
-  if (d.selected.size() != record.subtree_ops.size()) {
-    return hit;
-  }
-  for (std::size_t i = 0; i < d.selected.size(); ++i) {
-    if (cdfg::functional_id(suspect.node(d.selected[i]).kind) !=
-        record.subtree_ops[i]) {
-      return hit;
-    }
-  }
-
-  int max_pos = -1;
-  for (const auto& [s, t] : record.positions) {
-    max_pos = std::max({max_pos, s, t});
-  }
-  if (max_pos >= static_cast<int>(d.selected.size())) {
-    return hit;  // locality too small here: 0/0, no match
-  }
-  for (const auto& [src_pos, dst_pos] : record.positions) {
-    const NodeId src = d.selected[static_cast<std::size_t>(src_pos)];
-    const NodeId dst = d.selected[static_cast<std::size_t>(dst_pos)];
-    ++hit.total;
-    if (!schedule.is_scheduled(src) || !schedule.is_scheduled(dst)) continue;
-    if (schedule.start_of(src) + suspect.node(src).delay <=
-        schedule.start_of(dst)) {
-      ++hit.satisfied;
-    }
-  }
-  return hit;
+  return score(suspect, schedule, d, record).value_or(SchedHit{root});
 }
 
 SchedDetectionReport detect_sched_watermark(const Graph& suspect,
@@ -93,58 +88,9 @@ SchedDetectionReport detect_sched_watermark(const Graph& suspect,
                                             const crypto::Signature& sig,
                                             const SchedRecord& record,
                                             exec::ThreadPool* pool) {
-  LWM_SPAN("wm/detect_scan");
-  const std::vector<NodeId> roots = executable_roots(suspect);
-  LWM_COUNT("wm/roots_scanned", roots.size());
-  const std::size_t shards = exec::suggested_chunks(pool, roots.size());
-  LWM_COUNT("wm/detect_root_shards", shards);
-
-  // One partial scan per chunk of roots; merging in chunk order keeps the
-  // serial semantics: best_root is the earliest root with the strictly
-  // greatest satisfied count.
-  struct Part {
-    std::vector<SchedHit> hits;
-    int best_satisfied = -1;
-    NodeId best_root{};
-  };
-  const Part merged = exec::parallel_reduce(
-      pool, roots.size(), shards, Part{},
-      [&](std::size_t begin, std::size_t end) {
-        Part part;
-        for (std::size_t i = begin; i < end; ++i) {
-          SchedHit hit;
-          if (root_may_match(record,
-                             cdfg::functional_id(suspect.node(roots[i]).kind))) {
-            hit = verify_sched_watermark_at(suspect, schedule, sig, record,
-                                            roots[i]);
-          } else {
-            // Same zero-hit verify_sched_watermark_at returns on a failed
-            // structural gate, minus the carve.
-            hit.root = roots[i];
-            LWM_COUNT("wm/detect_prefilter_skips", 1);
-          }
-          if (hit.full()) part.hits.push_back(hit);
-          if (hit.satisfied > part.best_satisfied) {
-            part.best_satisfied = hit.satisfied;
-            part.best_root = roots[i];
-          }
-        }
-        return part;
-      },
-      [](Part acc, Part next) {
-        acc.hits.insert(acc.hits.end(), next.hits.begin(), next.hits.end());
-        if (next.best_satisfied > acc.best_satisfied) {
-          acc.best_satisfied = next.best_satisfied;
-          acc.best_root = next.best_root;
-        }
-        return acc;
-      });
-
-  SchedDetectionReport report;
-  report.hits = merged.hits;
-  report.best_root = merged.best_root;
-  report.roots_scanned = static_cast<int>(roots.size());
-  return report;
+  return std::move(
+      detect_sched_watermarks(suspect, schedule, sig, {&record, 1}, pool)
+          .front());
 }
 
 std::vector<SchedDetectionReport> detect_sched_watermarks(
@@ -152,8 +98,8 @@ std::vector<SchedDetectionReport> detect_sched_watermarks(
     const crypto::Signature& sig, std::span<const SchedRecord> records,
     exec::ThreadPool* pool) {
   LWM_SPAN("wm/detect_batch");
-  std::vector<SchedDetectionReport> reports(records.size());
-  if (records.empty()) return reports;
+  require_checked(records);
+  if (records.empty()) return {};
 
   // Group records by domain key — one carve per (root, key).
   struct Group {
@@ -162,18 +108,11 @@ std::vector<SchedDetectionReport> detect_sched_watermarks(
   };
   std::vector<Group> groups;
   for (std::size_t i = 0; i < records.size(); ++i) {
-    const DomainKey& k = records[i].domain;
-    Group* home = nullptr;
-    for (Group& grp : groups) {
-      if (grp.key.tau == k.tau && grp.key.keep_num == k.keep_num &&
-          grp.key.keep_den == k.keep_den) {
-        home = &grp;
-        break;
-      }
-    }
-    if (home == nullptr) {
-      groups.push_back(Group{k, {}});
-      home = &groups.back();
+    auto home = std::find_if(groups.begin(), groups.end(), [&](const Group& g) {
+      return g.key == records[i].domain;
+    });
+    if (home == groups.end()) {
+      home = groups.insert(groups.end(), Group{records[i].domain, {}});
     }
     home->record_idx.push_back(i);
   }
@@ -185,98 +124,66 @@ std::vector<SchedDetectionReport> detect_sched_watermarks(
 
   // Per-chunk partials, one slot per record; merged in chunk order so the
   // per-record hits and best-root tie-breaks match the serial scan.
-  struct Part {
-    std::vector<std::vector<SchedHit>> hits;
-    std::vector<int> best_satisfied;
-    std::vector<NodeId> best_root;
+  struct Slot {
+    SchedDetectionReport report;
+    int best_satisfied = -1;
   };
-  Part init;
-  init.hits.resize(records.size());
-  init.best_satisfied.assign(records.size(), -1);
-  init.best_root.resize(records.size());
-  const Part merged = exec::parallel_reduce(
-      pool, roots.size(), shards, init,
+  using Part = std::vector<Slot>;
+  Part merged = exec::parallel_reduce(
+      pool, roots.size(), shards, Part(records.size()),
       [&](std::size_t begin, std::size_t end) {
-        Part part;
-        part.hits.resize(records.size());
-        part.best_satisfied.assign(records.size(), -1);
-        part.best_root.resize(records.size());
+        Part part(records.size());
         for (std::size_t r = begin; r < end; ++r) {
           const NodeId n = roots[r];
           const int root_fid = cdfg::functional_id(suspect.node(n).kind);
           for (const Group& grp : groups) {
-            // Prefilter before the carve: a record whose memorized
-            // subtree doesn't end in this root's operation cannot pass
-            // the structural gate (the root always sorts last).  If no
-            // record in the group survives, the carve itself is skipped.
-            bool any_candidate = false;
-            for (const std::size_t i : grp.record_idx) {
-              if (root_may_match(records[i], root_fid)) {
-                any_candidate = true;
-                break;
-              }
-            }
-            if (!any_candidate) {
+            // Prefilter before the carve: the root is the unique level-0
+            // node of its cone and C1 sorts level-descending, so it sorts
+            // last, and a record whose memorized subtree doesn't end in
+            // this root's operation cannot pass the structural gate.  If
+            // no record in the group survives, the carve is skipped.
+            const auto may_match = [&](std::size_t i) {
+              return records[i].subtree_ops.back() == root_fid;
+            };
+            if (std::none_of(grp.record_idx.begin(), grp.record_idx.end(),
+                             may_match)) {
               LWM_COUNT("wm/detect_prefilter_skips", 1);
               continue;
             }
             const Domain d = select_domain(suspect, n, sig, grp.key);
             for (const std::size_t i : grp.record_idx) {
-              const SchedRecord& record = records[i];
-              if (!root_may_match(record, root_fid)) continue;
-              // Structural gate (same checks as verify_sched_watermark_at).
-              if (d.selected.size() != record.subtree_ops.size()) continue;
-              bool structural = true;
-              for (std::size_t p = 0; p < d.selected.size(); ++p) {
-                if (cdfg::functional_id(suspect.node(d.selected[p]).kind) !=
-                    record.subtree_ops[p]) {
-                  structural = false;
-                  break;
-                }
-              }
-              if (!structural) continue;
-              SchedHit hit;
-              hit.root = n;
-              for (const auto& [src_pos, dst_pos] : record.positions) {
-                if (src_pos >= static_cast<int>(d.selected.size()) ||
-                    dst_pos >= static_cast<int>(d.selected.size())) {
-                  continue;
-                }
-                ++hit.total;
-                const NodeId src = d.selected[static_cast<std::size_t>(src_pos)];
-                const NodeId dst = d.selected[static_cast<std::size_t>(dst_pos)];
-                if (schedule.is_scheduled(src) && schedule.is_scheduled(dst) &&
-                    schedule.start_of(src) + suspect.node(src).delay <=
-                        schedule.start_of(dst)) {
-                  ++hit.satisfied;
-                }
-              }
-              if (hit.full()) part.hits[i].push_back(hit);
-              if (hit.satisfied > part.best_satisfied[i]) {
-                part.best_satisfied[i] = hit.satisfied;
-                part.best_root[i] = n;
+              if (!may_match(i)) continue;
+              const std::optional<SchedHit> hit =
+                  score(suspect, schedule, d, records[i]);
+              if (!hit) continue;
+              if (hit->full()) part[i].report.hits.push_back(*hit);
+              if (hit->satisfied > part[i].best_satisfied) {
+                part[i].best_satisfied = hit->satisfied;
+                part[i].report.best_root = n;
               }
             }
           }
         }
         return part;
       },
-      [&](Part acc, Part next) {
-        for (std::size_t i = 0; i < records.size(); ++i) {
-          acc.hits[i].insert(acc.hits[i].end(), next.hits[i].begin(),
-                             next.hits[i].end());
-          if (next.best_satisfied[i] > acc.best_satisfied[i]) {
-            acc.best_satisfied[i] = next.best_satisfied[i];
-            acc.best_root[i] = next.best_root[i];
+      [](Part acc, Part next) {
+        for (std::size_t i = 0; i < acc.size(); ++i) {
+          std::vector<SchedHit>& hits = acc[i].report.hits;
+          hits.insert(hits.end(), next[i].report.hits.begin(),
+                      next[i].report.hits.end());
+          if (next[i].best_satisfied > acc[i].best_satisfied) {
+            acc[i].best_satisfied = next[i].best_satisfied;
+            acc[i].report.best_root = next[i].report.best_root;
           }
         }
         return acc;
       });
 
-  for (std::size_t i = 0; i < records.size(); ++i) {
-    reports[i].hits = merged.hits[i];
-    reports[i].best_root = merged.best_root[i];
-    reports[i].roots_scanned = static_cast<int>(roots.size());
+  std::vector<SchedDetectionReport> reports;
+  reports.reserve(records.size());
+  for (Slot& slot : merged) {
+    slot.report.roots_scanned = static_cast<int>(roots.size());
+    reports.push_back(std::move(slot.report));
   }
   return reports;
 }

@@ -53,49 +53,49 @@ struct SchedRecord {
 struct SchedHit {
   cdfg::NodeId root;
   int satisfied = 0;  ///< constraints honored by the suspect schedule
-  int total = 0;      ///< constraints mappable at this root
+  int total = 0;      ///< constraints of the record (0 if the gate failed)
   [[nodiscard]] bool full() const { return total > 0 && satisfied == total; }
 };
 
 struct SchedDetectionReport {
   std::vector<SchedHit> hits;       ///< full matches only
-  cdfg::NodeId best_root;           ///< root of the strongest hit
+  /// Earliest root attaining the greatest satisfied count among roots
+  /// that pass the structural gate; invalid when none does.
+  cdfg::NodeId best_root;
   int roots_scanned = 0;
 
   [[nodiscard]] bool detected() const { return !hits.empty(); }
 };
 
-/// Scans every executable node of `suspect` as a candidate root.  A hit
-/// requires all `record.positions` to map inside the carved subtree and
-/// every mapped constraint to hold in `schedule`.  With a pool the roots
-/// are scanned across its lanes; partial results merge in root order, so
-/// hits, best_root, and every tie-break are identical at any thread
-/// count (best_root = the earliest root attaining the maximum satisfied
-/// count, exactly as the serial scan picks it).
+// Every entry point below runs check_record on its records first and
+// throws std::invalid_argument naming the index of a record it refuses.
+
+/// Scans every executable node of `suspect` as a candidate root for every
+/// record: a hit needs the signature carve at the root to pass the
+/// structural gate and every recorded constraint to hold in `schedule`.
+/// The carve depends only on the domain key, so records sharing a key
+/// share one carve per root.  With a pool the roots are scanned across
+/// its lanes and merged in root order, so reports are identical at any
+/// thread count.  Results are index-aligned with `records`.
+[[nodiscard]] std::vector<SchedDetectionReport> detect_sched_watermarks(
+    const cdfg::Graph& suspect, const sched::Schedule& schedule,
+    const crypto::Signature& sig, std::span<const SchedRecord> records,
+    exec::ThreadPool* pool = nullptr);
+
+/// detect_sched_watermarks on a batch of one.
 [[nodiscard]] SchedDetectionReport detect_sched_watermark(
     const cdfg::Graph& suspect, const sched::Schedule& schedule,
     const crypto::Signature& sig, const SchedRecord& record,
     exec::ThreadPool* pool = nullptr);
 
 /// Verifies a specific already-known locality (fast path when the
-/// suspect is believed to be the unmodified design): maps positions at
-/// `root` and counts satisfied constraints.
+/// suspect is believed to be the unmodified design): the carve at `root`
+/// scored like one root of the scan; 0/0 if it fails the gate.
 [[nodiscard]] SchedHit verify_sched_watermark_at(const cdfg::Graph& suspect,
                                                  const sched::Schedule& schedule,
                                                  const crypto::Signature& sig,
                                                  const SchedRecord& record,
                                                  cdfg::NodeId root);
-
-/// Batch detection: evaluates many records in one scan.  The expensive
-/// step of detection is the per-root signature carve (ordering the
-/// locality and replaying the keyed BFS); it depends only on the domain
-/// key, not on the record, so an archive sharing one key costs one carve
-/// per root instead of one per (root, record).  Results are index-aligned
-/// with `records`.
-[[nodiscard]] std::vector<SchedDetectionReport> detect_sched_watermarks(
-    const cdfg::Graph& suspect, const sched::Schedule& schedule,
-    const crypto::Signature& sig, std::span<const SchedRecord> records,
-    exec::ThreadPool* pool = nullptr);
 
 /// Template-matching detection: re-plans the watermark on the suspect
 /// graph with the author's signature and checks that every enforced

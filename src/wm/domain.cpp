@@ -226,6 +226,48 @@ Domain select_domain(const Graph& g, NodeId root, const crypto::Signature& sig,
   return d;
 }
 
+bool matches_subtree(const Graph& g, std::span<const NodeId> selected,
+                     std::span<const int> subtree_ops) {
+  return std::equal(selected.begin(), selected.end(), subtree_ops.begin(),
+                    subtree_ops.end(), [&](NodeId n, int op) {
+                      return cdfg::functional_id(g.node(n).kind) == op;
+                    });
+}
+
+std::optional<RecordDefect> check_key(const DomainKey& key) {
+  if (key.tau < 1 || key.tau > DomainKey::kMaxTau) {
+    return RecordDefect{{}, "tau must lie in [1, " +
+                                std::to_string(DomainKey::kMaxTau) +
+                                "], got " + std::to_string(key.tau)};
+  }
+  if (key.keep_den == 0) {
+    return RecordDefect{{}, "keep denominator must be nonzero"};
+  }
+  if (key.keep_num > key.keep_den) {
+    return RecordDefect{{}, "keep must not exceed 1, got " +
+                                std::to_string(key.keep_num) + "/" +
+                                std::to_string(key.keep_den)};
+  }
+  return std::nullopt;
+}
+
+std::optional<RecordDefect> check_record(
+    const DomainKey& key, std::span<const std::pair<int, int>> positions,
+    std::span<const int> subtree_ops) {
+  if (auto bad = check_key(key)) return bad;
+  if (subtree_ops.empty()) return RecordDefect{{}, "record has no ops"};
+  for (std::size_t i = 0; i < positions.size(); ++i) {
+    for (const int p : {positions[i].first, positions[i].second}) {
+      if (p < 0 || static_cast<std::size_t>(p) >= subtree_ops.size()) {
+        return RecordDefect{i, "pos " + std::to_string(p) + " outside the " +
+                                   std::to_string(subtree_ops.size()) +
+                                   " ops of the record"};
+      }
+    }
+  }
+  return std::nullopt;
+}
+
 NodeId pick_root(const Graph& g, crypto::Bitstream& stream) {
   std::vector<NodeId> ops;
   for (NodeId n : g.nodes()) {

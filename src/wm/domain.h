@@ -21,6 +21,10 @@
 // insertion order through serialization, extraction, and embedding.
 #pragma once
 
+#include <optional>
+#include <span>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "cdfg/analysis.h"
@@ -38,8 +42,14 @@ struct DomainKey {
   /// probability").
   std::uint32_t keep_num = 1;
   std::uint32_t keep_den = 2;
+  /// Largest accepted tau.  Carving allocates tau-long feature vectors
+  /// per cone node, so a tau read from untrusted text is an allocation
+  /// size and must be bounded.
+  static constexpr int kMaxTau = 32;
   /// Purpose tag for the carving bitstream.
   static constexpr const char* kCarveTag = "lwm/carve";
+
+  friend bool operator==(const DomainKey&, const DomainKey&) = default;
 };
 
 /// A selected and uniquely identified locality.
@@ -62,6 +72,33 @@ struct Domain {
 [[nodiscard]] Domain select_domain(const cdfg::Graph& g, cdfg::NodeId root,
                                    const crypto::Signature& sig,
                                    const DomainKey& key);
+
+/// The structural gate of detection: "checks whether [a candidate node]
+/// represents a root n_o of the memorized subtree" (paper §IV-A).  True
+/// iff the carve `selected` has exactly the functional ids
+/// `subtree_ops`, position by position.
+[[nodiscard]] bool matches_subtree(const cdfg::Graph& g,
+                                   std::span<const cdfg::NodeId> selected,
+                                   std::span<const int> subtree_ops);
+
+/// What check_record refused, and the position pair at fault (none when
+/// the key or the ops are), so a text parser can name the line.
+struct RecordDefect {
+  std::optional<std::size_t> pair;
+  std::string message;
+};
+
+/// The key part of check_record: tau in [1, DomainKey::kMaxTau] and a
+/// keep probability num/den with 0 < den and num <= den.
+[[nodiscard]] std::optional<RecordDefect> check_key(const DomainKey& key);
+
+/// The one validation of a detection record (sched or reg) where records
+/// cross a trust boundary: a valid key, non-empty ops, and every position
+/// in [0, |subtree_ops|).  A carve that passes matches_subtree has
+/// |subtree_ops| nodes, so a checked record maps every pair.
+[[nodiscard]] std::optional<RecordDefect> check_record(
+    const DomainKey& key, std::span<const std::pair<int, int>> positions,
+    std::span<const int> subtree_ops);
 
 /// Picks a pseudo-random executable root from `stream` (used when
 /// embedding; detection scans all candidate roots instead).

@@ -43,25 +43,28 @@ LeakReport identify_leak(const cdfg::Graph& suspect,
                          const sched::Schedule& schedule,
                          const crypto::Signature& vendor,
                          const std::vector<FingerprintedCopy>& copies) {
+  // One batch scan per (archive, signature): records sharing a domain key
+  // share each root's carve.
+  const auto found = [&](const crypto::Signature& sig,
+                         const std::vector<SchedRecord>& records) {
+    int n = 0;
+    for (const SchedDetectionReport& r :
+         detect_sched_watermarks(suspect, schedule, sig, records)) {
+      n += r.detected() ? 1 : 0;
+    }
+    return n;
+  };
   LeakReport report;
   for (const FingerprintedCopy& copy : copies) {
     // Ownership: vendor-keyed marks are shared across copies; checking
     // any archive suffices, so accumulate over all.
-    for (const SchedRecord& rec : copy.ownership_records) {
-      if (detect_sched_watermark(suspect, schedule, vendor, rec).detected()) {
-        report.ownership_established = true;
-      }
+    if (found(vendor, copy.ownership_records) > 0) {
+      report.ownership_established = true;
     }
     LeakScore score;
     score.recipient = copy.recipient;
     score.marks_total = static_cast<int>(copy.copy_records.size());
-    const crypto::Signature recipient_sig = vendor.derive(copy.recipient);
-    for (const SchedRecord& rec : copy.copy_records) {
-      if (detect_sched_watermark(suspect, schedule, recipient_sig, rec)
-              .detected()) {
-        ++score.marks_found;
-      }
-    }
+    score.marks_found = found(vendor.derive(copy.recipient), copy.copy_records);
     report.scores.push_back(std::move(score));
   }
   return report;

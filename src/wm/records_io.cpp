@@ -24,11 +24,12 @@ void write_common(std::ostream& os, const DomainKey& key,
   (void)key;
 }
 
-/// Parses "k=v" tokens like tau=8 keep=1/2 m=4 pairs=3.
+/// Parses "k=v" tokens like tau=8 keep=1/2 m=4 pairs=3.  Only syntax is
+/// checked here; the key's ranges are check_record's, at the record's end.
 struct Fields {
-  int tau = -1;
-  std::uint32_t keep_num = 0;
-  std::uint32_t keep_den = 0;
+  DomainKey key;
+  bool has_tau = false;
+  bool has_keep = false;
   int m = -1;
   int pairs = -1;
 };
@@ -74,14 +75,15 @@ io::ParseResult<RecordArchive> parse_records(std::string_view text,
   enum class Mode { kNone, kSched, kReg } mode = Mode::kNone;
   SchedRecord cur_sched;
   RegRecord cur_reg;
-  int expected_pairs = 0;
-  int seen_pairs = 0;
+  Fields cur_fields;
+  int header_line = 0;
+  std::vector<std::pair<int, int>> pos_at;  // (line, column) per pos line
   bool seen_ops = false;
 
   // The seed's uncaught-std::stoi crash lived here: tau=x threw
-  // invalid_argument, keep=3/ called stoul(""), tau=99…9 threw
-  // out_of_range, and keep=1/0 sailed through into ratio arithmetic.
-  // All four are now located diagnostics from strict conversions.
+  // invalid_argument, keep=3/ called stoul(""), and tau=99…9 threw
+  // out_of_range.  All three are now located diagnostics from strict
+  // conversions; ranges (keep=1/0, tau=33, pos -1) are check_record's.
   const auto parse_fields = [&](io::LineLexer& lx,
                                 int lineno) -> io::ParseResult<Fields> {
     Fields f;
@@ -96,12 +98,13 @@ io::ParseResult<RecordArchive> parse_records(std::string_view text,
       const int value_col = tok->column + static_cast<int>(eq) + 1;
       if (key == "tau") {
         const auto v = io::to_int(value);
-        if (!v || *v <= 0) {
+        if (!v) {
           return err(lineno, value_col,
                      "tau must be a positive integer, got '" +
                          std::string(value) + "'");
         }
-        f.tau = *v;
+        f.key.tau = *v;
+        f.has_tau = true;
       } else if (key == "keep") {
         const auto slash = value.find('/');
         if (slash == std::string_view::npos) {
@@ -114,12 +117,9 @@ io::ParseResult<RecordArchive> parse_records(std::string_view text,
                      "keep needs unsigned num/den, got '" + std::string(value) +
                          "'");
         }
-        if (*den == 0) {
-          return err(lineno, value_col + static_cast<int>(slash) + 1,
-                     "keep denominator must be nonzero");
-        }
-        f.keep_num = *num;
-        f.keep_den = *den;
+        f.key.keep_num = *num;
+        f.key.keep_den = *den;
+        f.has_keep = true;
       } else if (key == "m") {
         const auto v = io::to_int(value);
         if (!v || *v < 0) {
@@ -140,7 +140,7 @@ io::ParseResult<RecordArchive> parse_records(std::string_view text,
         return err(lineno, tok->column, "unknown field '" + std::string(key) + "'");
       }
     }
-    if (f.tau <= 0 || f.keep_den == 0 || f.pairs < 0) {
+    if (!f.has_tau || !f.has_keep || f.pairs < 0) {
       return err(lineno, 0, "missing tau/keep/pairs");
     }
     return f;
@@ -148,20 +148,28 @@ io::ParseResult<RecordArchive> parse_records(std::string_view text,
 
   const auto flush = [&](int at_line) -> std::optional<io::Diagnostic> {
     if (mode == Mode::kNone) return std::nullopt;
-    if (seen_pairs != expected_pairs) {
+    if (pos_at.size() != static_cast<std::size_t>(cur_fields.pairs)) {
       return err(at_line, 0,
-                 "expected " + std::to_string(expected_pairs) +
-                     " pos lines, saw " + std::to_string(seen_pairs));
+                 "expected " + std::to_string(cur_fields.pairs) +
+                     " pos lines, saw " + std::to_string(pos_at.size()));
     }
     if (!seen_ops) return err(at_line, 0, "record missing ops line");
-    if (mode == Mode::kSched) {
+    const bool sched = mode == Mode::kSched;
+    if (const auto bad = check_record(
+            cur_fields.key, sched ? cur_sched.positions : cur_reg.positions,
+            sched ? cur_sched.subtree_ops : cur_reg.subtree_ops)) {
+      if (!bad->pair) return err(header_line, 0, bad->message);
+      const auto [line, col] = pos_at[*bad->pair];
+      return err(line, col, bad->message);
+    }
+    if (sched) {
       archive.sched.push_back(std::move(cur_sched));
       cur_sched = SchedRecord{};
     } else {
       archive.reg.push_back(std::move(cur_reg));
       cur_reg = RegRecord{};
     }
-    seen_pairs = 0;
+    pos_at.clear();
     seen_ops = false;
     return std::nullopt;
   };
@@ -175,20 +183,16 @@ io::ParseResult<RecordArchive> parse_records(std::string_view text,
       if (const auto d = flush(lineno)) return *d;
       auto fields = parse_fields(lx, lineno);
       if (!fields) return fields.diag();
-      const Fields f = fields.value();
-      DomainKey key;
-      key.tau = f.tau;
-      key.keep_num = f.keep_num;
-      key.keep_den = f.keep_den;
-      expected_pairs = f.pairs;
+      cur_fields = fields.value();
+      header_line = lineno;
       if (tok->text == "sched") {
         mode = Mode::kSched;
-        cur_sched.domain = key;
+        cur_sched.domain = cur_fields.key;
       } else {
-        if (f.m < 0) return err(lineno, 0, "reg record missing m");
+        if (cur_fields.m < 0) return err(lineno, 0, "reg record missing m");
         mode = Mode::kReg;
-        cur_reg.domain = key;
-        cur_reg.m = f.m;
+        cur_reg.domain = cur_fields.key;
+        cur_reg.m = cur_fields.m;
       }
     } else if (tok->text == "pos") {
       if (mode == Mode::kNone) {
@@ -210,7 +214,7 @@ io::ParseResult<RecordArchive> parse_records(std::string_view text,
       } else {
         cur_reg.positions.emplace_back(*sv, *tv);
       }
-      ++seen_pairs;
+      pos_at.emplace_back(lineno, s->column);
     } else if (tok->text == "ops") {
       if (mode == Mode::kNone) {
         return err(lineno, tok->column, "ops before record header");

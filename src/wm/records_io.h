@@ -37,8 +37,11 @@ void write_records(const RecordArchive& archive, std::ostream& os);
 [[nodiscard]] std::string to_text(const RecordArchive& archive);
 
 /// Non-throwing parse core: malformed fields (non-numeric tau, empty
-/// keep denominator, keep_den == 0, out-of-range values), bad structure,
-/// and trailing garbage all come back as a located Diagnostic.
+/// keep denominator, out-of-range values), bad structure, trailing
+/// garbage, and every record check_record refuses (tau outside
+/// [1, DomainKey::kMaxTau], keep not in [0, 1], a position outside the
+/// record's ops) all come back as a located Diagnostic.  A bad position
+/// names its own pos line; a bad key names the record's header line.
 [[nodiscard]] io::ParseResult<RecordArchive> parse_records(
     std::string_view text, std::string_view source_name = "<records>");
 

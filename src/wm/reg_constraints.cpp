@@ -161,13 +161,7 @@ RegHit verify_reg_at(const Graph& suspect,
   hit.root = root;
   // Cheap structural prefilter before the full re-derivation.
   const Domain d = select_domain(suspect, root, sig, record.domain);
-  if (d.selected.size() != record.subtree_ops.size()) return hit;
-  for (std::size_t i = 0; i < d.selected.size(); ++i) {
-    if (cdfg::functional_id(suspect.node(d.selected[i]).kind) !=
-        record.subtree_ops[i]) {
-      return hit;
-    }
-  }
+  if (!matches_subtree(suspect, d.selected, record.subtree_ops)) return hit;
 
   // Authorship binding: re-run the marking process with the claimant's
   // signature and demand it reproduce the record's positions exactly.
@@ -204,6 +198,10 @@ RegDetectionReport detect_reg_watermark(const Graph& suspect,
                                         const regbind::Binding& binding,
                                         const crypto::Signature& sig,
                                         const RegRecord& record) {
+  if (const auto bad = check_record(record.domain, record.positions,
+                                    record.subtree_ops)) {
+    throw std::invalid_argument("detect_reg_watermark: " + bad->message);
+  }
   RegDetectionReport report;
   for (NodeId n : suspect.nodes()) {
     if (!cdfg::is_executable(suspect.node(n).kind)) continue;

@@ -97,7 +97,8 @@ struct RegDetectionReport {
 /// riding a stolen record fails here even in zero-entropy chain
 /// localities) and the suspect binding to co-locate every pair
 /// (presence in the solution).  `lifetimes` must come from the suspect's
-/// recovered schedule.
+/// recovered schedule.  Throws std::invalid_argument if `record` fails
+/// check_record.
 [[nodiscard]] RegDetectionReport detect_reg_watermark(
     const cdfg::Graph& suspect, const std::vector<regbind::Lifetime>& lifetimes,
     const regbind::Binding& binding, const crypto::Signature& sig,

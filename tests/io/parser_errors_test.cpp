@@ -99,6 +99,22 @@ const BadInput kBadRecords[] = {
      "ops ids must be integers"},
     {"reg-missing-m", "lwm-records v1\nreg tau=6 keep=1/2 pairs=0\nops 1\n", 2,
      "reg record missing m"},
+    // Detection indexed the carve with these unchecked: a negative or
+    // past-the-ops position read out of bounds, keep above 1 and tau
+    // outside [1, 32] threw from the carve.
+    {"bug-pos-negative",
+     "lwm-records v1\nsched tau=6 keep=1/2 pairs=1\npos -1 0\nops 1\n", 3,
+     "pos -1 outside the 1 ops"},
+    {"pos-past-ops",
+     "lwm-records v1\nsched tau=6 keep=1/2 pairs=2\npos 0 1\npos 1 3\n"
+     "ops 4 5 6\n",
+     4, "pos 3 outside the 3 ops"},
+    {"keep-above-one",
+     "lwm-records v1\nsched tau=6 keep=3/2 pairs=0\nops 1\n", 2,
+     "keep must not exceed 1"},
+    {"tau-above-max",
+     "lwm-records v1\nsched tau=33 keep=1/2 pairs=0\nops 1\n", 2,
+     "tau must lie in [1, 32]"},
 };
 
 TEST(ParserErrorsTest, RecordsDiagnosticsNameTheRightLine) {
@@ -116,10 +132,10 @@ TEST(ParserErrorsTest, RecordsValidTextRoundTripsUnchanged) {
       "sched tau=6 keep=1/2 pairs=2\n"
       "pos 1 2\n"
       "pos 3 4\n"
-      "ops 7 8 9\n"
+      "ops 7 8 9 10 11\n"
       "reg tau=4 keep=2/3 m=3 pairs=1\n"
       "pos 5 6\n"
-      "ops 1 2\n";
+      "ops 1 2 3 4 5 6 7\n";
   const auto r = wm::parse_records(canonical);
   ASSERT_TRUE(r.ok()) << r.diag().to_string();
   EXPECT_EQ(wm::to_text(r.value()), canonical);

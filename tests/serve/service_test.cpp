@@ -13,6 +13,7 @@
 #include "dfglib/synth.h"
 #include "serve/frame.h"
 #include "serve/service.h"
+#include "wm/domain.h"
 
 namespace lwm::serve {
 namespace {
@@ -200,6 +201,41 @@ TEST(ServiceTest, WrongKeyDoesNotDetect) {
   }
 }
 
+TEST(ServiceTest, HostileRecordsAreParseErrors) {
+  Service service;
+  const LoadedFixture fx = load_and_embed(service, "alice-key");
+  // Each rewrite of the honest archive must be refused with a diagnostic
+  // on the line it touched, never scanned: a negative or past-the-ops
+  // position indexed the carve out of bounds, and the bad keys threw
+  // from inside the carve.
+  const std::size_t header_end = fx.records.find('\n') + 1;
+  const std::size_t sched_line = fx.records.find("sched ");
+  const std::size_t pos_line = fx.records.find("pos ");
+  ASSERT_EQ(sched_line, header_end);
+  ASSERT_NE(pos_line, std::string::npos);
+  const std::size_t pos_end = fx.records.find('\n', pos_line);
+  const struct {
+    std::size_t at;
+    std::size_t len;
+    const char* with;
+    int line;
+  } rewrites[] = {
+      {pos_line, pos_end - pos_line, "pos -1 0", 3},
+      {pos_line, pos_end - pos_line, "pos 0 100000", 3},
+      {fx.records.find("keep=1/2"), 8, "keep=3/2", 2},
+      {fx.records.find("tau=8"), 5, "tau=33", 2},
+  };
+  for (const auto& rw : rewrites) {
+    LoadedFixture hostile = fx;
+    hostile.records.replace(rw.at, rw.len, rw.with);
+    const Frame answer = service.handle(detect_frame(hostile, "alice-key"));
+    ErrorInfo info;
+    ASSERT_TRUE(parse_error_frame(answer, info)) << rw.with;
+    EXPECT_EQ(info.code, kErrParse) << rw.with;
+    EXPECT_EQ(info.diag.line, rw.line) << rw.with << ": " << info.diag.message;
+  }
+}
+
 TEST(ServiceTest, ParameterBoundsAreEnforced) {
   Service service;
   const Frame loaded = service.handle(load_design_frame(fixture_text()));
@@ -210,7 +246,10 @@ TEST(ServiceTest, ParameterBoundsAreEnforced) {
   EXPECT_EQ(error_code(service.handle(embed_frame(id, "k", 0))), kErrTooLarge);
   EXPECT_EQ(error_code(service.handle(embed_frame(id, "k", o.max_marks + 1))),
             kErrTooLarge);
-  EXPECT_EQ(error_code(service.handle(embed_frame(id, "k", 3, o.max_tau + 1))),
+  EXPECT_EQ(error_code(service.handle(
+                embed_frame(id, "k", 3, wm::DomainKey::kMaxTau + 1))),
+            kErrTooLarge);
+  EXPECT_EQ(error_code(service.handle(embed_frame(id, "k", 3, 0))),
             kErrTooLarge);
   EXPECT_EQ(error_code(service.handle(embed_frame(id, "k", 3, 8, 0))),
             kErrTooLarge);

@@ -49,6 +49,11 @@ TEST(BatchDetectTest, AgreesWithPerRecordDetection) {
       EXPECT_EQ(batch[i].hits[h].root, single.hits[h].root);
       EXPECT_EQ(batch[i].hits[h].satisfied, single.hits[h].satisfied);
       EXPECT_EQ(batch[i].hits[h].total, single.hits[h].total);
+      // The third path: verifying the reported root directly.
+      const SchedHit at = verify_sched_watermark_at(
+          f.graph, f.schedule, alice(), f.records[i], single.hits[h].root);
+      EXPECT_EQ(at.satisfied, single.hits[h].satisfied) << "record " << i;
+      EXPECT_EQ(at.total, single.hits[h].total) << "record " << i;
     }
     EXPECT_EQ(batch[i].roots_scanned, single.roots_scanned);
   }

@@ -89,11 +89,11 @@ TEST(RecordsIoTest, CommentsIgnored) {
       "# archive for project X\n"
       "sched tau=5 keep=1/2 pairs=1\n"
       "pos 2 4\n"
-      "ops 4 4 6 1\n");
+      "ops 4 4 6 1 3\n");
   ASSERT_EQ(a.sched.size(), 1u);
   EXPECT_EQ(a.sched[0].domain.tau, 5);
   EXPECT_EQ(a.sched[0].positions[0], (std::pair<int, int>{2, 4}));
-  EXPECT_EQ(a.sched[0].subtree_ops.size(), 4u);
+  EXPECT_EQ(a.sched[0].subtree_ops.size(), 5u);
 }
 
 TEST(RecordsIoTest, MalformedInputRejectedWithLineNumbers) {
