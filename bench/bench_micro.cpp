@@ -6,8 +6,10 @@
 //
 // The custom main() first times the headline comparison — reference
 // (from-scratch) force-directed scheduling vs the incremental engine on
-// the largest MediaBench DFG (PGP, 1755 ops) — and the parallel-vs-
-// serial branch & bound, writes BENCH_micro.json, then hands the
+// the largest MediaBench DFG (PGP, 1755 ops) — the parallel-vs-serial
+// branch & bound and the per-root carve cost (carve_us_per_root, one
+// Carver over every root of a 100k-op layered mega-design at tau 4),
+// writes BENCH_micro.json, then hands the
 // remaining argv to google-benchmark.  `--smoke` shrinks the headline to
 // a synthetic DAG and filters the suite down to one fast benchmark.
 #include <benchmark/benchmark.h>
@@ -33,6 +35,7 @@
 #include "tmatch/cover.h"
 #include "vliw/vliw_sched.h"
 #include "wm/detector.h"
+#include "wm/domain.h"
 #include "wm/sched_constraints.h"
 
 using namespace lwm;
@@ -326,6 +329,35 @@ int main(int argc, char** argv) {
     if (!report.detected()) return 1;
   }
 
+  // Carve leg: one Carver over every root of a layered mega-design at the
+  // scan's tau — the detector's per-root unit of work.
+  dfglib::MegaConfig carve_cfg;
+  carve_cfg.name = "bm_carve";
+  carve_cfg.operations = smoke ? 10'000 : 100'000;
+  carve_cfg.width = 64;
+  const cdfg::Graph carve_g = dfglib::make_mega_design(carve_cfg);
+  std::vector<cdfg::NodeId> carve_roots;
+  for (const cdfg::NodeId n : carve_g.nodes()) {
+    if (cdfg::is_executable(carve_g.node(n).kind)) carve_roots.push_back(n);
+  }
+  wm::DomainKey carve_key;
+  carve_key.tau = 4;
+  std::size_t carved_nodes = 0;
+  const bench::Stopwatch carve_watch;
+  {
+    wm::Carver carver(carve_g, sig, carve_key);
+    for (const cdfg::NodeId root : carve_roots) {
+      carved_nodes += carver.carve(root).selected.size();
+    }
+  }
+  const double carve_us_per_root =
+      carve_watch.elapsed_ms() * 1000.0 / static_cast<double>(carve_roots.size());
+  std::printf("Carve %s (%zu roots, tau %d): %.3f us per root, mean |T| %.2f\n\n",
+              carve_g.name().c_str(), carve_roots.size(), carve_key.tau,
+              carve_us_per_root,
+              static_cast<double>(carved_nodes) /
+                  static_cast<double>(carve_roots.size()));
+
   bench::JsonObject json;
   json.add("bench", std::string("micro"));
   json.add("threads", threads);
@@ -353,6 +385,10 @@ int main(int argc, char** argv) {
   json.add("bnb_serial_ms", bnb_serial_ms);
   json.add("bnb_parallel_ms", bnb_par_ms);
   json.add("wm_roundtrip_ms", wm_roundtrip_ms);
+  json.add("carve_graph", carve_g.name());
+  json.add("carve_roots", static_cast<long long>(carve_roots.size()));
+  json.add("carve_tau", carve_key.tau);
+  json.add("carve_us_per_root", carve_us_per_root);
   json.add("wall_ms", wall.elapsed_ms());
   bench::Args obs_args;
   obs_args.trace_path = trace_path;

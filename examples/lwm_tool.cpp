@@ -15,6 +15,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "cdfg/serialize.h"
 #include "io/source.h"
@@ -126,9 +127,13 @@ int cmd_detect(int argc, char** argv) {
   const crypto::Signature sig("lwm_tool", argv[2]);
   const wm::RecordArchive archive = wm::parse_records(slurp(argv[3]), argv[3]).take_or_throw();
 
+  // One scan of the suspect for the whole archive: records that share a
+  // domain key share each root's carve.
+  const std::vector<wm::SchedDetectionReport> reports =
+      wm::detect_sched_watermarks(g, s, sig, archive.sched);
   int found = 0;
-  for (std::size_t i = 0; i < archive.sched.size(); ++i) {
-    const auto report = wm::detect_sched_watermark(g, s, sig, archive.sched[i]);
+  for (std::size_t i = 0; i < reports.size(); ++i) {
+    const wm::SchedDetectionReport& report = reports[i];
     std::printf("record %zu: %s (%zu hit(s) / %d roots)\n", i,
                 report.detected() ? "DETECTED" : "not found",
                 report.hits.size(), report.roots_scanned);

@@ -1,5 +1,6 @@
 #include "cdfg/serialize.h"
 
+#include <algorithm>
 #include <cctype>
 #include <fstream>
 #include <istream>
@@ -17,7 +18,16 @@
 namespace lwm::cdfg {
 
 void write_text(const Graph& g, std::ostream& os) {
-  os << "cdfg " << (g.name().empty() ? "unnamed" : g.name()) << "\n";
+  // The header name is one token to both parsers; refuse what they would.
+  // Node names are not checked: this runs on every shipped design.
+  const std::string& name = g.name();
+  if (name.empty() ||
+      std::any_of(name.begin(), name.end(),
+                  [](unsigned char c) { return std::isspace(c) != 0; })) {
+    throw std::invalid_argument("cdfg::write_text: graph name '" + name +
+                                "' must be one non-empty token");
+  }
+  os << "cdfg " << name << "\n";
   for (NodeId n : g.nodes()) {
     const Node& node = g.node(n);
     os << "node " << node.name << " " << op_name(node.kind);

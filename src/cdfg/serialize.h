@@ -27,10 +27,12 @@
 namespace lwm::cdfg {
 
 /// Writes `g` in the text format.  Edges are emitted in id order, so the
-/// output is deterministic for a given construction sequence.
+/// output is deterministic for a given construction sequence.  Throws
+/// std::invalid_argument, naming the graph, if its name is empty or holds
+/// whitespace: the parsers read the header name as one token.
 void write_text(const Graph& g, std::ostream& os);
 
-/// Serializes to a string.
+/// Serializes to a string (write_text; same refusal).
 [[nodiscard]] std::string to_text(const Graph& g);
 
 /// Non-throwing parse core: syntax errors, unknown ops, duplicate

@@ -17,7 +17,7 @@
 namespace lwm::dfglib {
 
 struct MediabenchApp {
-  std::string name;  ///< as printed in Table I
+  std::string name;  ///< Table I's name as one token (its "D/A Cnv." is "D/A_Cnv.")
   int operations;    ///< Table I column "Operations"
 };
 

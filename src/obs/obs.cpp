@@ -202,6 +202,21 @@ void Histogram::record(std::uint64_t v) noexcept {
   }
 }
 
+void Histogram::merge(std::uint64_t count, std::uint64_t sum,
+                      std::uint64_t max,
+                      std::span<const std::uint64_t, kBuckets> buckets) noexcept {
+  Shard& s = shards_[tls_state().shard];
+  s.count.fetch_add(count, std::memory_order_relaxed);
+  s.sum.fetch_add(sum, std::memory_order_relaxed);
+  for (int b = 0; b < kBuckets; ++b) {
+    if (buckets[b] != 0) s.buckets[b].fetch_add(buckets[b], std::memory_order_relaxed);
+  }
+  std::uint64_t cur = s.max.load(std::memory_order_relaxed);
+  while (max > cur &&
+         !s.max.compare_exchange_weak(cur, max, std::memory_order_relaxed)) {
+  }
+}
+
 Histogram::Snapshot Histogram::snapshot() const noexcept {
   Snapshot snap;
   for (const Shard& s : shards_) {

@@ -5,6 +5,7 @@
 //
 //   LWM_COUNT("bnb/nodes", n);   // monotonic counter += n
 //   LWM_HIST("fds/stale_set", stale.size());   // log2-bucketed histogram
+//   LWM_HIST_MERGE("wm/domain_size", n, sum, max, buckets);  // n at once
 //   LWM_SPAN("fds/step");        // RAII span: wall time until scope exit
 //
 // Each macro resolves its name to a registry entry once (a thread-safe
@@ -38,6 +39,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -90,6 +92,12 @@ class Histogram {
   explicit Histogram(std::string name) : name_(std::move(name)) {}
 
   void record(std::uint64_t v) noexcept;
+
+  /// Adds `count` samples at once, given their `sum`, `max` and log2
+  /// `buckets` (bucket b counts samples of bit-width b): how a hot loop
+  /// that tallies locally publishes its samples in one step.
+  void merge(std::uint64_t count, std::uint64_t sum, std::uint64_t max,
+             std::span<const std::uint64_t, kBuckets> buckets) noexcept;
 
   struct Snapshot {
     std::uint64_t count = 0;
@@ -248,6 +256,14 @@ class ScopedSpan {
         .record(static_cast<std::uint64_t>(v));                            \
   } while (0)
 
+/// LWM_HIST for a locally tallied batch: see Histogram::merge.
+#define LWM_HIST_MERGE(name, count, sum, max, buckets)                     \
+  do {                                                                     \
+    static ::lwm::obs::Histogram& LWM_OBS_CONCAT(lwm_obs_hst_, __LINE__) = \
+        ::lwm::obs::Registry::instance().histogram(name);                  \
+    LWM_OBS_CONCAT(lwm_obs_hst_, __LINE__).merge(count, sum, max, buckets); \
+  } while (0)
+
 #define LWM_SPAN(name)                                                     \
   static ::lwm::obs::SpanSite& LWM_OBS_CONCAT(lwm_obs_site_, __LINE__) =   \
       ::lwm::obs::Registry::instance().span_site(name);                    \
@@ -258,6 +274,7 @@ class ScopedSpan {
 
 #define LWM_COUNT(name, v) ((void)0)
 #define LWM_HIST(name, v) ((void)0)
+#define LWM_HIST_MERGE(name, count, sum, max, buckets) ((void)0)
 #define LWM_SPAN(name) ((void)0)
 
 #endif  // LWM_OBS_ENABLED

@@ -40,8 +40,8 @@ void require_checked(std::span<const SchedRecord> records) {
 /// memorized subtree, else the record's constraints counted against
 /// `schedule`.  The record is checked, so a passed gate maps every pair.
 std::optional<SchedHit> score(const Graph& suspect,
-                              const sched::Schedule& schedule, const Domain& d,
-                              const SchedRecord& record) {
+                              const sched::Schedule& schedule,
+                              const DomainView& d, const SchedRecord& record) {
   if (!matches_subtree(suspect, d.selected, record.subtree_ops)) {
     return std::nullopt;
   }
@@ -79,8 +79,9 @@ SchedHit verify_sched_watermark_at(const Graph& suspect,
                                    const crypto::Signature& sig,
                                    const SchedRecord& record, NodeId root) {
   require_checked({&record, 1});
-  const Domain d = select_domain(suspect, root, sig, record.domain);
-  return score(suspect, schedule, d, record).value_or(SchedHit{root});
+  Carver carver(suspect, sig, record.domain);
+  return score(suspect, schedule, carver.carve(root), record)
+      .value_or(SchedHit{root});
 }
 
 SchedDetectionReport detect_sched_watermark(const Graph& suspect,
@@ -123,7 +124,9 @@ std::vector<SchedDetectionReport> detect_sched_watermarks(
   LWM_COUNT("wm/detect_root_shards", shards);
 
   // Per-chunk partials, one slot per record; merged in chunk order so the
-  // per-record hits and best-root tie-breaks match the serial scan.
+  // per-record hits and best-root tie-breaks match the serial scan.  Each
+  // chunk carves with its own carver per key, which publishes the chunk's
+  // carve tally once when the chunk ends.
   struct Slot {
     SchedDetectionReport report;
     int best_satisfied = -1;
@@ -133,10 +136,14 @@ std::vector<SchedDetectionReport> detect_sched_watermarks(
       pool, roots.size(), shards, Part(records.size()),
       [&](std::size_t begin, std::size_t end) {
         Part part(records.size());
+        std::vector<Carver> carvers;
+        carvers.reserve(groups.size());
+        for (const Group& grp : groups) carvers.emplace_back(suspect, sig, grp.key);
         for (std::size_t r = begin; r < end; ++r) {
           const NodeId n = roots[r];
           const int root_fid = cdfg::functional_id(suspect.node(n).kind);
-          for (const Group& grp : groups) {
+          for (std::size_t gi = 0; gi < groups.size(); ++gi) {
+            const Group& grp = groups[gi];
             // Prefilter before the carve: the root is the unique level-0
             // node of its cone and C1 sorts level-descending, so it sorts
             // last, and a record whose memorized subtree doesn't end in
@@ -150,7 +157,7 @@ std::vector<SchedDetectionReport> detect_sched_watermarks(
               LWM_COUNT("wm/detect_prefilter_skips", 1);
               continue;
             }
-            const Domain d = select_domain(suspect, n, sig, grp.key);
+            const DomainView d = carvers[gi].carve(n);
             for (const std::size_t i : grp.record_idx) {
               if (!may_match(i)) continue;
               const std::optional<SchedHit> hit =

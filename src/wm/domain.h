@@ -21,6 +21,7 @@
 // insertion order through serialization, extraction, and embedding.
 #pragma once
 
+#include <memory>
 #include <optional>
 #include <span>
 #include <string>
@@ -61,6 +62,50 @@ struct Domain {
   std::vector<cdfg::NodeId> selected;
 };
 
+/// One carve as the Carver that made it holds it: the spans stay valid
+/// until that carver's next order()/carve() call or its destruction.
+struct DomainView {
+  cdfg::NodeId root;
+  std::span<const cdfg::NodeId> ordered;   ///< as Domain::ordered
+  std::span<const cdfg::NodeId> selected;  ///< as Domain::selected
+};
+
+/// The one implementation of domain selection, for many roots of one
+/// graph under one (signature, key).  Its scratch is sized to the
+/// largest cone carved so far, never to the graph: a flat NodeId -> slot
+/// index cleared by epoch stamp, per-slot in-cone fan-in lists and
+/// tau-stride C2/C3 feature rows.  The kCarveTag stream is keyed once
+/// and copied per carve.  Detection builds one carver per scanned chunk
+/// of roots; select_domain and order_locality are one-shot wrappers.
+///
+/// A carver counts its carves (`wm/domains_carved`, `wm/domain_size`)
+/// and publishes the tally once, when it is destroyed.  Not thread-safe:
+/// use one carver per thread.  `g` must outlive the carver unmodified.
+class Carver {
+ public:
+  /// Keys the carve stream.  Throws std::invalid_argument if key.tau < 1.
+  Carver(const cdfg::Graph& g, const crypto::Signature& sig,
+         const DomainKey& key);
+  /// An ordering-only carver: order() works, carve() throws
+  /// std::logic_error.  Throws std::invalid_argument if tau < 1.
+  Carver(const cdfg::Graph& g, int tau);
+  ~Carver();
+  Carver(Carver&&) noexcept;
+  Carver& operator=(Carver&&) = delete;
+
+  /// T_o of `root` ordered by C1 -> C2 -> C3 -> discovery position.
+  /// Signature-free and uncounted.  Throws std::out_of_range if `root`
+  /// is not a live node.
+  [[nodiscard]] std::span<const cdfg::NodeId> order(cdfg::NodeId root);
+
+  /// order() plus the signature-keyed carve of T.
+  [[nodiscard]] DomainView carve(cdfg::NodeId root);
+
+ private:
+  struct State;
+  std::unique_ptr<State> s_;
+};
+
 /// Orders the fan-in cone of `root` (max-distance `tau`) by criteria
 /// C1 → C2 → C3 → discovery position.  Deterministic, signature-free.
 [[nodiscard]] std::vector<cdfg::NodeId> order_locality(const cdfg::Graph& g,
@@ -68,7 +113,7 @@ struct Domain {
 
 /// Full domain selection: ordering plus signature-keyed carving of T.
 /// A pure function of (graph structure reachable from root, key, sig) —
-/// embedding and detection call this identically.
+/// embedding and detection call this identically.  A one-shot Carver.
 [[nodiscard]] Domain select_domain(const cdfg::Graph& g, cdfg::NodeId root,
                                    const crypto::Signature& sig,
                                    const DomainKey& key);

@@ -156,12 +156,14 @@ RegHit verify_reg_at(const Graph& suspect,
                      const std::vector<Lifetime>& lifetimes,
                      const regbind::Binding& binding,
                      const crypto::Signature& sig, const RegRecord& record,
-                     NodeId root) {
+                     Carver& carver, NodeId root) {
   RegHit hit;
   hit.root = root;
   // Cheap structural prefilter before the full re-derivation.
-  const Domain d = select_domain(suspect, root, sig, record.domain);
-  if (!matches_subtree(suspect, d.selected, record.subtree_ops)) return hit;
+  if (!matches_subtree(suspect, carver.carve(root).selected,
+                       record.subtree_ops)) {
+    return hit;
+  }
 
   // Authorship binding: re-run the marking process with the claimant's
   // signature and demand it reproduce the record's positions exactly.
@@ -203,11 +205,12 @@ RegDetectionReport detect_reg_watermark(const Graph& suspect,
     throw std::invalid_argument("detect_reg_watermark: " + bad->message);
   }
   RegDetectionReport report;
+  Carver carver(suspect, sig, record.domain);
   for (NodeId n : suspect.nodes()) {
     if (!cdfg::is_executable(suspect.node(n).kind)) continue;
     ++report.roots_scanned;
     const RegHit hit =
-        verify_reg_at(suspect, lifetimes, binding, sig, record, n);
+        verify_reg_at(suspect, lifetimes, binding, sig, record, carver, n);
     if (hit.full()) report.hits.push_back(hit);
   }
   return report;

@@ -20,6 +20,21 @@ TEST(SerializeTest, RoundTripPreservesStructure) {
   EXPECT_EQ(to_text(h), text) << "serialization is a fixed point";
 }
 
+TEST(SerializeTest, RefusesNamesTheParsersCannotReadBack) {
+  for (const char* name : {"", "two words", "tab\tname", "line\nbreak"}) {
+    Graph g(name);
+    g.add_node(OpKind::kAdd, "a");
+    try {
+      (void)to_text(g);
+      ADD_FAILURE() << "accepted '" << name << "'";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("'" + std::string(name) + "'"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 TEST(SerializeTest, PreservesKindsDelaysAndEdgeKinds) {
   Builder b("mix");
   const NodeId in = b.input("in");

@@ -1,9 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <sstream>
+#include <vector>
+
 #include "cdfg/analysis.h"
+#include "cdfg/serialize.h"
 #include "cdfg/validate.h"
 #include "dfglib/designs.h"
 #include "dfglib/iir4.h"
+#include "dfglib/kernels.h"
 #include "dfglib/mediabench.h"
 #include "dfglib/synth.h"
 
@@ -118,10 +123,30 @@ TEST(LayeredDagTest, EmptyMixRejected) {
 TEST(MediabenchTest, TableMatchesPaperCounts) {
   const auto& apps = mediabench_table();
   ASSERT_EQ(apps.size(), 8u);
-  EXPECT_EQ(apps[0].name, "D/A Cnv.");
+  EXPECT_EQ(apps[0].name, "D/A_Cnv.");
   EXPECT_EQ(apps[0].operations, 528);
   EXPECT_EQ(apps[4].name, "PGP");
   EXPECT_EQ(apps[4].operations, 1755);
+}
+
+// Every shipped design must survive its own text format: the header
+// name is one token, so the streaming parser takes it back unchanged.
+TEST(MediabenchTest, AppsAndKernelsRoundTripThroughText) {
+  std::vector<Graph> designs;
+  for (const MediabenchApp& app : mediabench_table()) {
+    designs.push_back(make_mediabench_app(app));
+  }
+  designs.push_back(iir4_parallel());
+  designs.push_back(make_fir(8));
+  designs.push_back(make_fft(16));
+  designs.push_back(make_biquad_cascade(4));
+  for (const Graph& g : designs) {
+    std::istringstream in(cdfg::to_text(g));
+    auto parsed = cdfg::parse_cdfg_stream(in, g.name());
+    ASSERT_TRUE(parsed.ok()) << g.name() << ": " << parsed.diag().to_string();
+    EXPECT_EQ(parsed.value().name(), g.name());
+    EXPECT_EQ(parsed.value().node_count(), g.node_count()) << g.name();
+  }
 }
 
 TEST(MediabenchTest, GeneratedAppsHitOpCounts) {

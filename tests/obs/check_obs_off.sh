@@ -25,6 +25,7 @@ int probe_work(int n) {
   for (int i = 0; i < n; ++i) {
     LWM_COUNT("probe/count", 1);
     LWM_HIST("probe/hist", i);
+    LWM_HIST_MERGE("probe/hist_merged", 1, i, i, nullptr);
     total += i;
   }
   return static_cast<int>(total & 0x7fffffff);

@@ -5,6 +5,8 @@
 // nothing to test — tests/obs/check_obs_off.sh covers that side).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -61,6 +63,32 @@ TEST(ObsHistogram, BucketsByBitWidth) {
   EXPECT_EQ(s.buckets[1], 1u);
   EXPECT_EQ(s.buckets[2], 2u);
   EXPECT_EQ(s.buckets[11], 1u);
+}
+
+TEST(ObsHistogram, MergeEqualsRecordingEachSample) {
+  Registry::instance().reset();
+  const std::vector<std::uint64_t> samples = {0, 1, 3, 3, 17, 1024};
+  std::uint64_t buckets[lwm::obs::Histogram::kBuckets] = {};
+  std::uint64_t sum = 0;
+  std::uint64_t max = 0;
+  for (const std::uint64_t v : samples) {
+    LWM_HIST("test/hist_each", v);
+    ++buckets[std::bit_width(v)];
+    sum += v;
+    max = std::max(max, v);
+  }
+  LWM_HIST("test/hist_merged", 2);  // merge adds to what is there
+  LWM_HIST("test/hist_each", 2);
+  LWM_HIST_MERGE("test/hist_merged", samples.size(), sum, max, buckets);
+  const auto each = Registry::instance().histogram("test/hist_each").snapshot();
+  const auto merged =
+      Registry::instance().histogram("test/hist_merged").snapshot();
+  EXPECT_EQ(merged.count, each.count);
+  EXPECT_EQ(merged.sum, each.sum);
+  EXPECT_EQ(merged.max, each.max);
+  for (int b = 0; b < lwm::obs::Histogram::kBuckets; ++b) {
+    EXPECT_EQ(merged.buckets[b], each.buckets[b]) << "bucket " << b;
+  }
 }
 
 TEST(ObsHistogram, MaxIsExactUnderThreads) {
